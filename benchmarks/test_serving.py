@@ -222,9 +222,9 @@ def test_serving_telemetry(benchmark):
                             cooldown_us=1000.0)
 
     def serve(telemetry):
-        # the autoscaler mutates its Fleet in place (added chips persist
-        # after the run), so every run builds a fresh fleet — otherwise
-        # the timed on/off twins would not start from the same state
+        # every run builds its own fleet, so the timed on/off twins pay
+        # the same set-up (a reused fleet would also start at M:2 —
+        # Fleet.reset drops the chips the autoscaler appended)
         simulator = ServingSimulator(Fleet.from_spec("M:2"), cache,
                                      policy="latency",
                                      batch_sizes=BATCHES, max_wait_us=200.0,

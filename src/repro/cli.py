@@ -108,6 +108,27 @@ def _ga_config_from_args(args: argparse.Namespace) -> GAConfig:
     )
 
 
+def _chip_name(value: str) -> str:
+    """argparse type of a chip option: a Table I preset name."""
+    try:
+        get_chip_config(value)
+    except KeyError as error:
+        raise argparse.ArgumentTypeError(error.args[0]) from None
+    return value
+
+
+def _positive_int(value: str) -> int:
+    """argparse type of a batch-size option: an integer of at least 1."""
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer value: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
+
+
 def _check_optimizer(name: str) -> Optional[str]:
     """Error message for an unrecognised ``--optimizer`` value, else ``None``."""
     try:
@@ -586,10 +607,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     compile_parser = subparsers.add_parser("compile", help="compile one model for one chip")
     compile_parser.add_argument("model", choices=list_models())
-    compile_parser.add_argument("--chip", default="M", help="chip configuration: S, M or L")
+    compile_parser.add_argument("--chip", default="M", type=_chip_name,
+                                help="chip configuration: S, M or L")
     compile_parser.add_argument("--scheme", default="compass",
                                 choices=["compass", "greedy", "layerwise"])
-    compile_parser.add_argument("--batch", type=int, default=1, help="batch size")
+    compile_parser.add_argument("--batch", type=_positive_int, default=1,
+                                help="batch size")
     compile_parser.add_argument("--no-instructions", action="store_true",
                                 help="skip instruction generation (faster)")
     compile_parser.add_argument("--output", help="write the full result to this JSON file")
@@ -599,11 +622,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = subparsers.add_parser("sweep", help="run a Fig. 6 style sweep")
     sweep_parser.add_argument("--models", nargs="+", default=["squeezenet", "resnet18"],
                               choices=list_models())
-    sweep_parser.add_argument("--chips", nargs="+", default=["S", "M", "L"])
+    sweep_parser.add_argument("--chips", nargs="+", type=_chip_name,
+                              default=["S", "M", "L"])
     sweep_parser.add_argument("--schemes", nargs="+",
                               default=["greedy", "layerwise", "compass"],
                               choices=["greedy", "layerwise", "compass"])
-    sweep_parser.add_argument("--batches", nargs="+", type=int, default=[1, 4, 16])
+    sweep_parser.add_argument("--batches", nargs="+", type=_positive_int,
+                              default=[1, 4, 16])
     # sweeps default to the exact DP engine: every compass point is the true
     # latency optimum and the sweep is deterministic (pass --optimizer ga
     # for the paper's original search)

@@ -9,8 +9,8 @@ scheduling policy earns its keep, because the same model compiles to very
 different plans per chip class.
 
 Workers carry their own occupancy counters (busy time, batches, requests,
-energy); the simulator updates them at dispatch time and the serving report
-reads them back as the per-chip utilisation table.
+energy); the simulator updates them when a batch completes and the serving
+report reads them back as the per-chip utilisation table.
 
 Each worker also remembers the compiled plan its crossbars currently hold
 (``loaded_plan``).  When plan-switch cost modelling is enabled
@@ -181,12 +181,18 @@ class ChipWorker:
 
 
 class Fleet:
-    """An ordered collection of chip workers."""
+    """An ordered collection of chip workers.
+
+    The autoscaler appends chips to ``workers`` mid-run; ``base_size``
+    remembers how many the fleet was built with, and :meth:`reset` drops
+    the rest, so every run on a reused fleet starts from the same chips.
+    """
 
     def __init__(self, workers: Sequence[ChipWorker]) -> None:
         if not workers:
             raise ValueError("a fleet needs at least one chip")
         self.workers: List[ChipWorker] = list(workers)
+        self.base_size = len(self.workers)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -263,7 +269,8 @@ class Fleet:
         return [w for w in self.workers if w.idle_at(now_ns)]
 
     def reset(self) -> None:
-        """Zero every worker's occupancy counters (for re-running a fleet)."""
+        """Drop autoscaled chips and zero every worker's counters (for re-runs)."""
+        del self.workers[self.base_size:]
         for worker in self.workers:
             worker.busy_until_ns = 0.0
             worker.busy_ns = 0.0

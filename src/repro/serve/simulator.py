@@ -58,22 +58,24 @@ incoming plan's weight-replacement term on top of the compiled latency
 (and is counted per chip), a warm re-dispatch pays the compiled latency
 unchanged.
 
-Fault-free runs keep the exact pre-fault accounting path (completion
-quantities recorded at dispatch, chip-free events carrying no state), so
-their reports are bit-identical to the pre-fault simulator — pinned in
-``tests/test_serve.py``.  With faults injected or any
-:class:`~repro.serve.faults.FaultTolerance` knob active, completions are
-instead finalised at the chip-free event (a chip may die first), requests
-lost to failures/timeouts re-enter as retries, and the report grows a
-``faults`` block (failures, retries, timeouts, shed/lost counts, lost
-work, availability) plus per-chip downtime columns.  A run with an
-active control plane always takes the fault-aware path (hedging and
-quarantine need completions finalised at the chip-free event) and adds a
-``control`` block to the report.  Nothing consumes
-randomness at simulation time — chaos fault schedules are pre-drawn from
-their own seed — so a fixed-seed scenario, faulty or not, replays to a
-bit-identical report (plan-cache statistics are reported, but deliberately
-excluded from the deterministic core, see ``determinism_dict``).
+Every dispatched batch is recorded in flight and finalised at its
+chip-free event: only then do its requests complete, their latencies
+count and the chip's busy time, energy and batch counters grow (a chip
+may die first, killing the batch instead).  With faults injected or any
+:class:`~repro.serve.faults.FaultTolerance` knob active, requests lost to
+failures/timeouts re-enter as retries and the report grows a ``faults``
+block (failures, retries, timeouts, shed/lost counts, lost work,
+availability) plus per-chip downtime columns; a run with an active
+control plane also gets them and adds a ``control`` block.  Those blocks
+are the only difference between a fault-free run and the same run with
+an inert fault-tolerance knob, and a fault-free open-loop report still
+matches the pre-fault simulator's (pinned in ``tests/test_serve.py``).
+Nothing
+consumes randomness at simulation time — chaos fault schedules are
+pre-drawn from their own seed — so a fixed-seed scenario, faulty or not,
+replays to a bit-identical report (plan-cache statistics are reported,
+but deliberately excluded from the deterministic core, see
+``determinism_dict``).
 """
 
 from __future__ import annotations
@@ -138,15 +140,13 @@ _EMA_ALPHA = 0.2
 _percentile = nearest_rank_percentile
 
 
-@dataclass
+@dataclass(slots=True)
 class _Inflight:
-    """One dispatched batch that has not completed yet (fault-aware runs).
+    """One dispatched batch that has not completed yet.
 
-    The fault-free path never creates these — its completion accounting
-    happens at dispatch, exactly like the pre-fault simulator.  Fault-aware
-    runs finalise at the chip-free event instead, because the chip may die
-    first: the record carries everything finalisation (or the failure
-    handler) needs.
+    Every dispatch creates one, keyed by chip, and the batch's chip-free
+    event finalises it — unless the chip dies first: the record carries
+    everything finalisation (or the failure handler) needs.
     """
 
     epoch: int
@@ -161,10 +161,10 @@ class _Inflight:
     #: nominal healthy-chip service time — compiled latency at nominal DRAM
     #: plus any switch weight-replacement — the controller's service-ratio
     #: baseline (0 when no controller runs)
-    nominal_ns: float = 0.0
+    nominal_ns: float
     #: speculative hedge duplicate: its lone rider is also queued or
     #: in flight elsewhere, and only the first copy to complete is counted
-    hedge: bool = False
+    hedge: bool
 
 
 class CommandQueue:
@@ -408,8 +408,10 @@ class ServingSimulator:
     control plane (:class:`~repro.serve.control.ControlConfig`):
     quarantine-based failure detection, hedged requests, SLO-driven
     autoscaling and plan re-placement, all driven from a fixed control
-    tick.  With none of the three in play the simulator runs the exact
-    pre-fault code path, bit-identically.
+    tick.  All runs share one accounting path (see the module docstring);
+    the three only decide which events occur and which report blocks
+    appear, so with none in play an open-loop report matches the
+    pre-fault simulator's.
 
     ``telemetry`` configures the passive observability layer
     (:class:`~repro.serve.telemetry.TelemetryConfig`): a per-window
@@ -472,12 +474,9 @@ class ServingSimulator:
         self.stream_sink = None
         if self.control.active and self.control.scale_chip is not None:
             get_chip_config(self.control.scale_chip)  # fail fast on bad names
-        #: fleet size at construction — chips the autoscaler appended are
-        #: dropped at the start of every run, so a simulator re-runs cleanly
-        self._base_workers = len(fleet.workers)
         self.fault_events: Tuple[FaultEvent, ...] = tuple(faults or ())
         self._fault_schedule: List[Tuple[float, str, int, float]] = (
-            materialize(self.fault_events, len(fleet.workers))
+            materialize(self.fault_events, fleet.base_size)
             if self.fault_events and faults_enabled() else []
         )
 
@@ -523,18 +522,18 @@ class ServingSimulator:
                 remaining[request.model] = remaining.get(request.model, 0) + 1
         if not initial:
             raise ValueError("cannot simulate an empty request stream")
-        del self.fleet.workers[self._base_workers:]  # drop autoscaled chips
         self.fleet.reset()
         self.policy.reset()
         ft = self.fault_tolerance
         use_control = self.control.active
         ctrl = Controller(self.control) if use_control else None
-        #: the fault-aware accounting path: completions finalise at the
-        #: chip-free event instead of at dispatch.  Off on fault-free runs,
-        #: whose accounting stays bit-identical to the pre-fault simulator;
-        #: always on under the control plane, whose hedging and quarantine
-        #: need in-flight records.
+        #: whether the report carries the fault blocks (and the run accepts
+        #: mid-run ``inject_fault`` commands) — it shapes the report only,
+        #: never the simulation
         use_ft = bool(self._fault_schedule) or ft.active or use_control
+        shedding = ft.shed_queue_depth > 0 or ft.shed_wait_us > 0
+        #: queued (id, attempt) keys, read only by timeouts and hedging
+        track_queued = ft.timeout_us > 0 or use_control
         #: the passive telemetry session (None when every knob is off, so
         #: the hot path pays a single `is not None` check per hook site)
         tele = (
@@ -625,12 +624,9 @@ class ServingSimulator:
         models_seen: Dict[str, None] = {}
         last_arrival_ns = first_arrival
 
-        # fault-tolerance state (all of it inert on fault-free runs)
+        #: the batch each busy chip is executing, by chip index
         inflight: Dict[int, _Inflight] = {}
         queued_keys: Set[Tuple[int, int]] = set()
-        #: first-arrival time per request id (end-to-end latency baseline
-        #: across retries)
-        origins: Dict[int, float] = {}
         #: running [attained, completed] per SLO model (degradation trigger)
         slo_running: Dict[str, List[int]] = {}
         failures = retries = timeouts_n = shed = lost = degraded = 0
@@ -768,8 +764,50 @@ class ServingSimulator:
                     return True
             return False
 
+        def hedge_counts(request: Request, record: _Inflight,
+                         now: float) -> bool:
+            """Settle a completing copy's hedge race; False if it is uncounted."""
+            rid = request.request_id
+            if rid in winners:
+                # the other copy of this hedged request completed first and
+                # was counted; this late copy is not a second completion
+                # (and a losing hedge copy is wasted speculative work)
+                winners.discard(rid)
+                hedge_outstanding.pop(rid, None)
+                if record.hedge:
+                    ctrl.hedges_wasted += 1
+                return False
+            if rid in hedged:
+                # first copy of a hedged request to complete wins
+                hedged.discard(rid)
+                if not record.hedge:
+                    # the original beat its hedge; the hedge finishes (or
+                    # dies) uncounted
+                    winners.add(rid)
+                    return True
+                ctrl.hedges_won += 1
+                if rid in orphaned:
+                    # the original died with its chip while the hedge flew;
+                    # nothing left to cancel
+                    orphaned.discard(rid)
+                    hedge_outstanding.pop(rid, None)
+                elif (rid, request.attempt) in queued_keys:
+                    # the original never dispatched: cancel it
+                    queued_keys.discard((rid, request.attempt))
+                    queues[record.model].remove(request)
+                    change_depth(now, -1)
+                    hedge_outstanding.pop(rid, None)
+                    ctrl.hedges_cancelled += 1
+                    if tele is not None:
+                        tele.queue_exit(now, request, "cancelled")
+                else:
+                    # the original is executing: when it completes it goes
+                    # uncounted
+                    winners.add(rid)
+            return True
+
         def finalize(worker: ChipWorker, record: _Inflight, now: float) -> None:
-            """Complete a batch at its chip-free event (fault-aware path)."""
+            """Complete a batch at its chip-free event."""
             nonlocal batches, padded_batches, last_completion
             del inflight[worker.index]
             worker.busy_ns += record.service_ns
@@ -786,65 +824,33 @@ class ServingSimulator:
             if ctrl is not None and record.nominal_ns > 0:
                 ctrl.note_completion(worker.index,
                                      record.service_ns / record.nominal_ns)
+            slos = self.slos
+            start_ns = record.start_ns
             for request in record.requests:
-                rid = request.request_id
-                if ctrl is not None:
-                    if rid in winners:
-                        # the other copy of this hedged request completed
-                        # first and was counted; this late copy is not a
-                        # second completion (and a losing hedge copy is
-                        # wasted speculative work)
-                        winners.discard(rid)
-                        hedge_outstanding.pop(rid, None)
-                        if record.hedge:
-                            ctrl.hedges_wasted += 1
-                        if tele is not None:
-                            tele.end_service(now, request, worker, "uncounted")
-                        continue
-                    if rid in hedged:
-                        # first copy of a hedged request to complete wins
-                        hedged.discard(rid)
-                        if record.hedge:
-                            ctrl.hedges_won += 1
-                            key = (rid, request.attempt)
-                            if rid in orphaned:
-                                # the original died with its chip while the
-                                # hedge flew; nothing left to cancel
-                                orphaned.discard(rid)
-                                hedge_outstanding.pop(rid, None)
-                            elif key in queued_keys:
-                                # the original never dispatched: cancel it
-                                queued_keys.discard(key)
-                                queues[record.model].remove(request)
-                                change_depth(now, -1)
-                                hedge_outstanding.pop(rid, None)
-                                ctrl.hedges_cancelled += 1
-                                if tele is not None:
-                                    tele.queue_exit(now, request, "cancelled")
-                            else:
-                                # the original is executing: when it
-                                # completes it goes uncounted
-                                winners.add(rid)
-                        else:
-                            # the original beat its hedge; the hedge
-                            # finishes (or dies) uncounted
-                            winners.add(rid)
-                total = now - origins.get(request.request_id, request.arrival_ns)
-                wait_ns = record.start_ns - request.arrival_ns
+                if ctrl is not None and not hedge_counts(request, record, now):
+                    if tele is not None:
+                        tele.end_service(now, request, worker, "uncounted")
+                    continue
+                model = request.model
+                arrival_ns = request.arrival_ns
+                # request.origin_ns, inlined: this runs once per request
+                first_ns = request.first_arrival_ns
+                total = now - (arrival_ns if first_ns is None else first_ns)
+                wait_ns = start_ns - arrival_ns
                 slo_ok: Optional[bool] = None
-                if request.model in self.slos:
-                    slo_ok = total <= self.slos[request.model] * 1e6
-                    running = slo_running.setdefault(request.model, [0, 0])
+                if model in slos:
+                    slo_ok = total <= slos[model] * 1e6
+                    running = slo_running.setdefault(model, [0, 0])
                     running[1] += 1
                     if slo_ok:
                         running[0] += 1
                 if stream is None:
                     latencies.append(total)
                     waits.append(wait_ns)
-                    if request.model in self.slos:
-                        by_model.setdefault(request.model, []).append(total)
+                    if model in slos:
+                        by_model.setdefault(model, []).append(total)
                 else:
-                    stream.note(total, wait_ns, request.model, slo_ok)
+                    stream.note(total, wait_ns, model, slo_ok)
                 if tele is not None:
                     tele.completion(now, request, total, wait_ns, slo_ok,
                                     worker)
@@ -865,13 +871,50 @@ class ServingSimulator:
                 return False
             return running[0] / running[1] < ft.degrade_below
 
+        def occupy(worker: ChipWorker, plan: CompiledPlan, service_ns: float,
+                   model: str, batch: int, riders: List[Request],
+                   now: float, hedge: bool = False) -> float:
+            """Start a batch on ``worker``; returns its completion time.
+
+            The batch is recorded in flight until its chip-free event
+            finalises it (or the chip dies first).
+            """
+            nonlocal seq
+            switched = is_plan_switch(plan, worker, self.switch_cost)
+            if switched:
+                worker.plan_switches += 1
+                worker.switch_ns += plan.weight_replace_ns
+            worker.loaded_plan = plan.key
+            completion = now + service_ns
+            worker.busy_until_ns = completion
+            heapq.heappush(
+                events, (completion, _EVENT_FREE, worker.index, seq, worker.index)
+            )
+            seq += 1
+            if tele is not None:
+                tele.dispatch(now, riders, worker, model, batch, completion,
+                              switched, hedge=hedge)
+            nominal_ns = 0.0
+            if ctrl is not None:
+                # ratio baseline: the *healthy-chip* price of this dispatch,
+                # so stragglers and degraded DRAM both show up as ratio > 1
+                nominal_plan = self.plan_cache.get(model, worker.chip_name, batch)
+                nominal_ns = nominal_plan.latency_ns + (
+                    nominal_plan.weight_replace_ns if switched else 0.0)
+            # positional: once per batch, keyword construction costs twice
+            # as much
+            inflight[worker.index] = _Inflight(
+                worker.epoch, now, completion, service_ns, plan, batch,
+                len(riders), riders, model, nominal_ns, hedge)
+            return completion
+
         def try_dispatch(now: float) -> None:
-            nonlocal seq, batches, padded_batches, last_completion, degraded
+            nonlocal seq, degraded
             while True:
                 # a chip whose batch has not been finalised yet (its
                 # chip-free event is later in this same instant) is not
-                # dispatchable — inflight is empty on fault-free runs —
-                # and neither is a chip the controller quarantined/retired
+                # dispatchable, and neither is a chip the controller
+                # quarantined/retired
                 idle = [w for w in self.fleet.idle_workers(now)
                         if w.index not in inflight
                         and (ctrl is None or ctrl.available(w))]
@@ -900,7 +943,7 @@ class ServingSimulator:
 
                     if forced.get(model):
                         batch = self.batcher.dispatch_size(len(queue))
-                    elif use_ft and behind_slo(model):
+                    elif behind_slo(model):
                         # graceful degradation: the model is missing its
                         # SLO — skip the batching hold and take the
                         # latency-optimal dispatch for the queue we have
@@ -934,90 +977,18 @@ class ServingSimulator:
                     forced.pop(model, None)
                     pending_deadline.pop(model, None)
                     plan = plan_for(self.plan_cache, worker, model, batch)
-                    service_ns = service_latency_ns(plan, worker, self.switch_cost)
-                    switched = is_plan_switch(plan, worker, self.switch_cost)
-                    if switched:
-                        worker.plan_switches += 1
-                        worker.switch_ns += plan.weight_replace_ns
-                    worker.loaded_plan = plan.key
-                    completion = now + service_ns
-                    worker.busy_until_ns = completion
-                    heapq.heappush(
-                        events,
-                        (completion, _EVENT_FREE, worker.index, seq, worker.index),
-                    )
-                    seq += 1
-                    if tele is not None:
-                        tele.dispatch(now, batch_requests, worker, model,
-                                      batch, completion, switched)
-                    if use_ft:
+                    completion = occupy(
+                        worker, plan,
+                        service_latency_ns(plan, worker, self.switch_cost),
+                        model, batch, batch_requests, now)
+                    if track_queued:
                         for request in batch_requests:
                             queued_keys.discard(
                                 (request.request_id, request.attempt)
                             )
-                        nominal_ns = 0.0
-                        if ctrl is not None:
-                            # ratio baseline: the *healthy-chip* price of
-                            # this dispatch, so stragglers and degraded
-                            # DRAM both show up as ratio > 1
-                            nominal_plan = self.plan_cache.get(
-                                model, worker.chip_name, batch)
-                            nominal_ns = nominal_plan.latency_ns + (
-                                nominal_plan.weight_replace_ns if switched
-                                else 0.0
-                            )
-                        inflight[worker.index] = _Inflight(
-                            epoch=worker.epoch,
-                            start_ns=now,
-                            completion_ns=completion,
-                            service_ns=service_ns,
-                            plan=plan,
-                            batch=batch,
-                            served=served,
-                            requests=batch_requests,
-                            model=model,
-                            nominal_ns=nominal_ns,
-                        )
-                        if ctrl is not None:
-                            ctrl.note_dispatch(worker.index, model, batch,
-                                               completion, worker.epoch)
-                    else:
-                        # fault-free accounting at dispatch — the exact
-                        # pre-fault path, kept bit-identical
-                        worker.busy_ns += service_ns
-                        worker.batches_served += 1
-                        worker.requests_served += served
-                        worker.energy_pj += plan.energy_pj
-                        for request in batch_requests:
-                            total = completion - request.arrival_ns
-                            slo_ok: Optional[bool] = None
-                            if request.model in self.slos:
-                                slo_ok = (
-                                    total <= self.slos[request.model] * 1e6
-                                )
-                            if stream is None:
-                                latencies.append(total)
-                                waits.append(now - request.arrival_ns)
-                                if request.model in self.slos:
-                                    by_model.setdefault(
-                                        request.model, []).append(total)
-                            else:
-                                stream.note(total, now - request.arrival_ns,
-                                            request.model, slo_ok)
-                            if tele is not None:
-                                tele.completion(completion, request, total,
-                                                now - request.arrival_ns,
-                                                slo_ok, worker)
-                            if session is not None:
-                                follow_up = session.on_complete(request, completion)
-                                if follow_up is not None:
-                                    push_arrival(follow_up)
-                        batches += 1
-                        batch_histogram[batch] = batch_histogram.get(batch, 0) + 1
-                        served_histogram[served] = served_histogram.get(served, 0) + 1
-                        if served < batch:
-                            padded_batches += 1
-                        last_completion = max(last_completion, completion)
+                    if ctrl is not None:
+                        ctrl.note_dispatch(worker.index, model, batch,
+                                           completion, worker.epoch)
                     self.policy.note_dispatch(model, served)
                     change_depth(now, -served)
                     progressed = True
@@ -1041,7 +1012,7 @@ class ServingSimulator:
 
             def eligible(request: Request) -> bool:
                 rid = request.request_id
-                waited = now - origins.get(rid, request.arrival_ns)
+                waited = now - request.origin_ns
                 return (waited > budget_ns and rid not in hedged
                         and rid not in hedge_outstanding
                         and rid not in winners and rid not in orphaned)
@@ -1049,7 +1020,6 @@ class ServingSimulator:
             def launch(request: Request, model: str,
                        beat_ns: Optional[float]) -> bool:
                 """Fly one hedge copy; False when no chip is idle."""
-                nonlocal seq
                 idle = [w for w in self.fleet.idle_workers(now)
                         if w.index not in inflight and ctrl.available(w)]
                 if not idle:
@@ -1064,35 +1034,8 @@ class ServingSimulator:
                 completion = now + service_ns
                 if beat_ns is not None and completion >= beat_ns:
                     return True  # the hedge cannot win: not worth chip time
-                switched = is_plan_switch(plan, worker, self.switch_cost)
-                if switched:
-                    worker.plan_switches += 1
-                    worker.switch_ns += plan.weight_replace_ns
-                worker.loaded_plan = plan.key
-                worker.busy_until_ns = completion
-                heapq.heappush(
-                    events,
-                    (completion, _EVENT_FREE, worker.index, seq,
-                     worker.index),
-                )
-                seq += 1
-                nominal_plan = self.plan_cache.get(model, worker.chip_name,
-                                                   smallest_batch)
-                inflight[worker.index] = _Inflight(
-                    epoch=worker.epoch,
-                    start_ns=now,
-                    completion_ns=completion,
-                    service_ns=service_ns,
-                    plan=plan,
-                    batch=smallest_batch,
-                    served=1,
-                    requests=[request],
-                    model=model,
-                    nominal_ns=nominal_plan.latency_ns + (
-                        nominal_plan.weight_replace_ns if switched
-                        else 0.0),
-                    hedge=True,
-                )
+                occupy(worker, plan, service_ns, model, smallest_batch,
+                       [request], now, hedge=True)
                 # the original stays where it is — no depth change, no
                 # policy bookkeeping: a hedge is extra chip work, not
                 # extra offered load
@@ -1102,10 +1045,6 @@ class ServingSimulator:
                 health.expected_ns = completion
                 health.expected_epoch = worker.epoch
                 ctrl.hedges += 1
-                if tele is not None:
-                    tele.dispatch(now, [request], worker, model,
-                                  smallest_batch, completion, switched,
-                                  hedge=True)
                 return True
 
             for index in sorted(inflight):
@@ -1349,20 +1288,18 @@ class ServingSimulator:
                     last_arrival_ns = max(last_arrival_ns, request.arrival_ns)
                     models_seen.setdefault(model)
                     remaining[model] -= 1
-                    if use_ft:
-                        origins[request.request_id] = request.arrival_ns
-                        if should_shed(request, now):
-                            shed += 1
-                            if tele is not None:
-                                tele.shed(now, request)
-                            finish_without_service(request, now)
-                            try_dispatch(now)
-                            continue
+                    if shedding and should_shed(request, now):
+                        shed += 1
+                        if tele is not None:
+                            tele.shed(now, request)
+                        finish_without_service(request, now)
+                        try_dispatch(now)
+                        continue
                 # retries skip the rate bookkeeping above — a re-submission
                 # is not new offered load — and bypass admission control
                 # (the request was already admitted once)
                 queue = queues.setdefault(model, deque())
-                if use_ft and request.priority > 0:
+                if request.priority > 0:
                     # a promoted final-attempt retry queues ahead of plain
                     # arrivals, behind earlier promoted ones (stable order)
                     position = 0
@@ -1373,15 +1310,15 @@ class ServingSimulator:
                 else:
                     queue.append(request)
                 change_depth(now, +1)
-                if use_ft:
+                if track_queued:
                     queued_keys.add((request.request_id, request.attempt))
-                    if ft.timeout_us > 0:
-                        heapq.heappush(
-                            events,
-                            (now + ft.timeout_us * 1e3, _EVENT_TIMEOUT, 0, seq,
-                             request),
-                        )
-                        seq += 1
+                if ft.timeout_us > 0:
+                    heapq.heappush(
+                        events,
+                        (now + ft.timeout_us * 1e3, _EVENT_TIMEOUT, 0, seq,
+                         request),
+                    )
+                    seq += 1
             elif kind == _EVENT_FAULT:
                 action, chip, factor = payload
                 worker = self.fleet.workers[chip]
@@ -1484,14 +1421,15 @@ class ServingSimulator:
                 if pending_deadline.get(model) == now and queues.get(model):
                     forced[model] = True
                     pending_deadline.pop(model, None)
-            elif kind == _EVENT_FREE and use_ft:
+            elif kind == _EVENT_FREE:
                 record = inflight.get(payload)
                 worker = self.fleet.workers[payload]
                 if (record is not None and record.completion_ns == now
                         and record.epoch == worker.epoch):
                     finalize(worker, record, now)
-                # otherwise the event is stale: the chip died (and maybe
-                # recovered) since this batch was dispatched
+                # otherwise the event is stale (the chip died, and maybe
+                # recovered, since this batch was dispatched) or it ends a
+                # plan pre-warm, which carries no batch
             elif kind == _EVENT_CONTROL:
                 ctrl.ticks += 1
                 ctrl.update_utilisation(now, self.fleet.workers)
@@ -1532,9 +1470,6 @@ class ServingSimulator:
                         events,
                         (now + interval_ns, _EVENT_CONTROL, 0, seq, None))
                     seq += 1
-            # on the fault-free path _EVENT_FREE carries no state change:
-            # the worker's counters were updated at dispatch, and
-            # busy_until_ns now equals `now`
             try_dispatch(now)
 
         # --- report -----------------------------------------------------
@@ -1708,7 +1643,7 @@ class ServingSimulator:
             lost_work_ms=sum(w.lost_ns for w in self.fleet.workers) * 1e-6,
             degraded_dispatches=degraded,
             availability=availability,
-            control=(ctrl.as_dict(self.fleet.workers, self._base_workers)
+            control=(ctrl.as_dict(self.fleet.workers, self.fleet.base_size)
                      if ctrl is not None else {}),
             commands=applied_commands,
             timeline=timeline_rows,

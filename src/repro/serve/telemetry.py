@@ -473,9 +473,8 @@ class TimelineAccumulator:
 
     Event-side notes (arrivals, completions, faults, ...) are keyed by
     their own timestamp — ``window = floor((ts - origin) / interval)`` —
-    so the fault-free accounting path, which records completions at
-    dispatch time with a future completion timestamp, lands every event in
-    the right window regardless of processing order.  State-side samples
+    so every event lands in the right window regardless of the order the
+    notes arrive in.  State-side samples
     (queue depth, utilisation, cumulative control counters) are taken at
     each window boundary after same-instant events settle — the simulator
     samples lazily when it pops the first event past a boundary, which
@@ -765,10 +764,11 @@ class TimelineAccumulator:
         interval_ns = self.interval_ns
         last = (int(math.ceil(span_ns / interval_ns)) - 1
                 if span_ns > 0 else 0)
-        # event windows can land past the span (dispatch-time completion
-        # timestamps); boundary samples past both are drain-tail ticks kept
-        # alive by armed-but-stale timeout events — the timeline stops at
-        # the run span, it does not stretch to cover them
+        # event windows can land past the span (faults or retries noted
+        # after the last completion and first-attempt arrival); boundary
+        # samples past both are drain-tail ticks kept alive by
+        # armed-but-stale timeout events — the timeline stops at the run
+        # span, it does not stretch to cover them
         if self._windows:
             last = max(last, max(self._windows))
         # the end-of-run flush is the final window's boundary sample

@@ -59,6 +59,9 @@ class Request:
     order_queues`.  Generators always issue priority 0; the simulator
     raises it for a retry on its final attempt when
     :attr:`~repro.serve.faults.FaultTolerance.retry_priority` is set.
+    ``first_arrival_ns`` is the first attempt's arrival time, carried by
+    every retry (``None`` on the first attempt itself, see
+    :attr:`origin_ns`).
     """
 
     request_id: int
@@ -67,20 +70,29 @@ class Request:
     client: int = -1
     attempt: int = 0
     priority: int = 0
+    first_arrival_ns: Optional[float] = None
+
+    @property
+    def origin_ns(self) -> float:
+        """When the request first arrived: the end-to-end latency baseline."""
+        if self.first_arrival_ns is None:
+            return self.arrival_ns
+        return self.first_arrival_ns
 
 
 def retry_request(request: Request, arrival_ns: float,
                   priority: Optional[int] = None) -> Request:
     """The next attempt of a failed request, re-arriving at ``arrival_ns``.
 
-    Identity (id, model, client) is preserved — a retry is the same request
-    trying again after its deterministic backoff, not new offered load.
-    ``priority`` overrides the retry's queue priority (``None`` keeps the
-    original's).
+    Identity (id, model, client) and the first attempt's arrival time are
+    preserved — a retry is the same request trying again after its
+    deterministic backoff, not new offered load.  ``priority`` overrides
+    the retry's queue priority (``None`` keeps the original's).
     """
     return dataclasses.replace(
         request, arrival_ns=float(arrival_ns), attempt=request.attempt + 1,
         priority=request.priority if priority is None else int(priority),
+        first_arrival_ns=request.origin_ns,
     )
 
 
@@ -307,9 +319,12 @@ class ClosedLoopSession:
     """One run's worth of closed-loop client state (see :class:`ClosedLoopTraffic`).
 
     All randomness — think times and model assignments — is pre-drawn from
-    the traffic seed and consumed in issue order, so the interaction with
-    the (deterministic) simulator is bit-reproducible: the same seed always
-    yields the same stream, whatever the fleet does with it.
+    the traffic seed.  Draw ``k * clients + c`` belongs to client ``c``'s
+    ``k``-th request (and is also its ``request_id``), so what a client
+    asks for and how long it thinks depend only on the seed and on how
+    many of its own requests it has issued — never on the order in which
+    the simulator reports other clients' completions.  The opening wave
+    (slot ``s`` goes to client ``s % clients``) is exactly this indexing.
     """
 
     def __init__(self, traffic: "ClosedLoopTraffic") -> None:
@@ -331,7 +346,8 @@ class ClosedLoopSession:
         self.num_requests = n
         self.clients = traffic.clients
         self.concurrency = traffic.concurrency
-        self._next = 0
+        #: draw index of each client's next request
+        self._next = list(range(traffic.clients))
         #: every request issued so far, in issue order (for trace recording)
         self.issued: List[Request] = []
 
@@ -343,28 +359,26 @@ class ClosedLoopSession:
             counts[name] = counts.get(name, 0) + 1
         return counts
 
-    def _issue(self, client: int, arrival_ns: float) -> Request:
-        index = self._next
-        self._next += 1
+    def _issue(self, client: int, after_ns: float) -> Optional[Request]:
+        """Client ``client``'s next request, thinking from ``after_ns``."""
+        index = self._next[client]
+        if index >= self.num_requests:
+            return None
+        self._next[client] = index + self.clients
         request = Request(request_id=index, model=self._names[index],
-                          arrival_ns=float(arrival_ns), client=client)
+                          arrival_ns=float(after_ns + self._think[index]),
+                          client=client)
         self.issued.append(request)
         return request
 
     def initial(self) -> List[Request]:
         """The opening wave: every client fills its concurrency window."""
         slots = min(self.num_requests, self.clients * self.concurrency)
-        return [
-            self._issue(slot % self.clients, self._think[self._next])
-            for slot in range(slots)
-        ]
+        return [self._issue(slot % self.clients, 0.0) for slot in range(slots)]
 
     def on_complete(self, request: Request, completion_ns: float) -> Optional[Request]:
         """The completed request's client issues its next request (or ``None``)."""
-        if self._next >= self.num_requests:
-            return None
-        return self._issue(request.client,
-                           completion_ns + self._think[self._next])
+        return self._issue(request.client, completion_ns)
 
 
 class ClosedLoopTraffic(TrafficGenerator):

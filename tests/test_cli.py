@@ -34,6 +34,29 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["compile", "resnet18", "--chip", "Q"],
+         "argument --chip: unknown chip configuration 'Q'"),
+        (["compile", "resnet18", "--batch", "0"],
+         "argument --batch: must be at least 1, got 0"),
+        (["sweep", "--chips", "S", "Q"],
+         "argument --chips: unknown chip configuration 'Q'"),
+        (["sweep", "--batches", "1", "0"],
+         "argument --batches: must be at least 1, got 0"),
+    ])
+    def test_bad_chip_or_batch_exits_2_with_an_error_line(self, capsys, argv,
+                                                          message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+
+    def test_chip_names_are_case_insensitive(self):
+        args = build_parser().parse_args(["sweep", "--chips", "s", "M"])
+        assert args.chips == ["s", "M"]
+
 
 class TestCommands:
     def test_models_command(self, capsys):

@@ -453,6 +453,28 @@ class TestAutoscale:
         # the autoscaled chips of the first run were truncated away
         assert second.control["base_chips"] == 2
 
+    def test_second_simulator_on_a_reused_fleet_matches_the_first(self):
+        # the fleet, not the simulator, remembers its built size: a new
+        # simulator on a fleet the autoscaler grew still starts at M:2
+        cache = PlanCache(optimizer="dp")
+        fleet = Fleet.from_spec("M:2")
+        cache.warmup(["squeezenet"], fleet.chip_names, BATCHES)
+        rate = 2.5 * fleet_capacity_rps(cache, fleet, ("squeezenet",), BATCHES)
+        traffic = PoissonTraffic("squeezenet", num_requests=160, seed=0,
+                                 rate_rps=rate)
+        config = ControlConfig(interval_us=200.0, autoscale=True,
+                               min_chips=2, max_chips=6, cooldown_us=500.0)
+        reports = []
+        for _ in range(2):
+            simulator = ServingSimulator(
+                fleet, cache, policy="latency", batch_sizes=BATCHES,
+                max_wait_us=100.0, slos={"squeezenet": 6.0},
+                fault_tolerance=FaultTolerance(max_retries=1), control=config)
+            reports.append(simulator.run(traffic.generate(),
+                                         traffic_info=traffic.describe()))
+        assert reports[0].control["scale_ups"] >= 1
+        assert reports[1].determinism_dict() == reports[0].determinism_dict()
+
 
 # ----------------------------------------------------------------------
 # Plan re-placement

@@ -39,6 +39,7 @@ from repro.serve import (
     validate_policy,
     validate_traffic,
 )
+from repro.serve.fleet import ChipWorker
 from repro.serve.simulator import _percentile
 
 BATCHES = (1, 2, 4, 8, 16)
@@ -322,6 +323,13 @@ class TestFleet:
             Fleet.from_spec("M:0")
         with pytest.raises(ValueError):
             Fleet.from_spec("M:x")
+
+    def test_reset_drops_chips_appended_after_construction(self):
+        fleet = Fleet.from_spec("M:2")
+        fleet.workers.append(ChipWorker(index=2, chip_name="M"))
+        fleet.reset()
+        assert fleet.base_size == 2
+        assert [w.label for w in fleet.workers] == ["M#0", "M#1"]
 
     def test_idle_workers(self):
         fleet = Fleet.homogeneous("S", 2)
@@ -799,7 +807,8 @@ class TestPaddedBatchAccounting:
 class TestClosedLoopTraffic:
     @staticmethod
     def _run(seed=5, clients=3, concurrency=1, requests=30, policy="latency",
-             mean_think_s=0.0002, fleet_spec="S:1", models=("squeezenet",)):
+             mean_think_s=0.0002, fleet_spec="S:1", models=("squeezenet",),
+             fault_tolerance=None):
         cache = PlanCache(optimizer="dp")
         fleet = Fleet.from_spec(fleet_spec)
         cache.warmup(models, fleet.chip_names, BATCHES)
@@ -807,8 +816,71 @@ class TestClosedLoopTraffic:
                                     clients=clients, concurrency=concurrency,
                                     mean_think_s=mean_think_s)
         simulator = ServingSimulator(fleet, cache, policy=policy,
-                                     batch_sizes=BATCHES, max_wait_us=100.0)
+                                     batch_sizes=BATCHES, max_wait_us=100.0,
+                                     fault_tolerance=fault_tolerance)
         return simulator.run(traffic), traffic
+
+    def test_inert_fault_tolerance_is_a_twin(self):
+        # one accounting path: an FT knob that never fires only adds the
+        # fault report blocks, even though closed-loop arrivals depend on
+        # when (and in which order) completions are accounted
+        kwargs = dict(seed=3, clients=4, requests=300, policy="fair",
+                      fleet_spec="S:1,M:1", models=("resnet18", "squeezenet"))
+        plain, _ = self._run(**kwargs)
+        guarded, _ = self._run(fault_tolerance=FaultTolerance(max_retries=1),
+                               **kwargs)
+        assert not plain.fault_tolerance and guarded.fault_tolerance
+        core = guarded.determinism_dict()
+        assert core.pop("faults")["retries"] == 0
+        for row in core["per_chip"]:
+            for column in ("failures", "downtime_ms", "lost_requests"):
+                del row[column]
+        assert core == plain.determinism_dict()
+
+    def test_client_draws_independent_of_the_fleet(self):
+        # client c's k-th request gets the same model and think time
+        # whatever fleet serves the stream (and so whenever it completes)
+        def client_streams(fleet_spec):
+            thinks = {}
+            traffic = ClosedLoopTraffic(("resnet18", "squeezenet"),
+                                        num_requests=60, seed=4, clients=3,
+                                        concurrency=2)
+            make_session = traffic.session
+
+            def spied_session():
+                session = make_session()
+                on_complete = session.on_complete
+
+                def spy(request, completion_ns):
+                    follow = on_complete(request, completion_ns)
+                    if follow is not None:
+                        thinks[follow.request_id] = (follow.arrival_ns
+                                                     - completion_ns)
+                    return follow
+
+                session.on_complete = spy
+                return session
+
+            traffic.session = spied_session
+            cache = PlanCache(optimizer="dp")
+            fleet = Fleet.from_spec(fleet_spec)
+            cache.warmup(traffic.models, fleet.chip_names, BATCHES)
+            ServingSimulator(fleet, cache, policy="fair", batch_sizes=BATCHES,
+                             max_wait_us=100.0).run(traffic)
+            streams = {}
+            for request in traffic.last_session.issued:
+                streams.setdefault(request.client, []).append(
+                    (request.request_id, request.model,
+                     thinks.get(request.request_id, request.arrival_ns)))
+            return streams
+
+        small, large = client_streams("S:1"), client_streams("M:2")
+        assert sorted(small) == sorted(large) == [0, 1, 2]
+        for client in small:
+            assert [entry[:2] for entry in small[client]] == \
+                [entry[:2] for entry in large[client]]
+            assert [entry[2] for entry in small[client]] == pytest.approx(
+                [entry[2] for entry in large[client]], rel=1e-9, abs=1e-3)
 
     def test_replay_is_bit_identical(self):
         first, _ = self._run(seed=5)
@@ -854,8 +926,12 @@ class TestClosedLoopTraffic:
         initial = session.initial()
         # 3 clients x 2 outstanding = 6 initial issues, round-robin tagged
         assert [r.client for r in initial] == [0, 1, 2, 0, 1, 2]
-        follow = session.on_complete(initial[1], 1_000_000.0)
-        assert follow.client == 1
+        assert [r.request_id for r in initial] == [0, 1, 2, 3, 4, 5]
+        # draw k*clients + c is client c's k-th request: client 1's next
+        # draw (7) is past the stream, the last one (6) is client 0's
+        assert session.on_complete(initial[1], 1_000_000.0) is None
+        follow = session.on_complete(initial[0], 1_000_000.0)
+        assert follow.client == 0
         assert follow.arrival_ns >= 1_000_000.0
         assert follow.request_id == 6
         assert session.on_complete(follow, 2_000_000.0) is None
