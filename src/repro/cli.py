@@ -11,6 +11,9 @@ Subcommands
 ``serve``
     Simulate serving a request stream against a chip fleet using compiled
     partition plans (plan cache + dynamic batching + scheduling policy).
+    The flags become one scenario spec, validated and built by the same
+    :mod:`repro.serve.service.scenario` functions the observatory uses;
+    only flag-pair checks and the terminal rendering/exports live here.
 ``observe``
     Run the live serving observatory: an asyncio REST + WebSocket service
     that accepts scenario submissions, streams per-window telemetry while
@@ -56,11 +59,10 @@ import asyncio
 import json
 import os
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro import analysis
 from repro.core.compiler import compile_model
-from repro.core.fitness import FitnessMode
 from repro.core.ga import GAConfig
 from repro.evaluation.sweeps import SweepRunner
 from repro.hardware.config import get_chip_config, hardware_configuration_table
@@ -76,18 +78,7 @@ from repro.serve import (
     POLICIES,
     TRAFFIC_GENERATORS,
     ClosedLoopTraffic,
-    ControlConfig,
-    FaultTolerance,
-    Fleet,
-    PlanCache,
-    ServingSimulator,
-    TelemetryConfig,
-    TraceTraffic,
-    fleet_capacity_rps,
-    parse_inject,
     save_trace,
-    validate_fault_targets,
-    validate_policy,
 )
 from repro.sim.report import (
     format_table,
@@ -99,13 +90,7 @@ from repro.sim.report import (
 
 
 def _ga_config_from_args(args: argparse.Namespace) -> GAConfig:
-    return GAConfig(
-        population_size=args.population,
-        generations=args.generations,
-        n_select=max(1, args.population // 5),
-        n_mutate=args.population - max(1, args.population // 5),
-        seed=args.seed,
-    )
+    return GAConfig.sized(args.population, args.generations, seed=args.seed)
 
 
 def _chip_name(value: str) -> str:
@@ -183,212 +168,112 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _auto_rate(cache: PlanCache, fleet: Fleet, models: Sequence[str],
-               batch_sizes: Sequence[int], utilization: float) -> float:
-    """Offered rate targeting a utilisation fraction of the fleet's capacity."""
-    return utilization * fleet_capacity_rps(cache, fleet, models, batch_sizes)
+def _slo_entry(value: str) -> Tuple[str, float]:
+    """argparse type of ``--slo``: a ``MODEL=MS`` latency target."""
+    model, sep, target = value.partition("=")
+    try:
+        if not sep or not model.strip():
+            raise ValueError(value)
+        return model.strip(), float(target)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected MODEL=MS, got {value!r}") from None
 
 
-def _parse_slos(entries: Optional[Sequence[str]],
-                models: Sequence[str]) -> dict:
-    """Parse repeated ``--slo model=ms`` options into ``{model: target_ms}``."""
-    slos: dict = {}
-    for entry in entries or ():
-        model, sep, value = entry.partition("=")
-        model = model.strip()
-        if not sep or not model:
-            raise ValueError(f"bad --slo {entry!r}; expected MODEL=MS")
-        if model not in models:
-            raise ValueError(
-                f"--slo names unknown model {model!r}; served models: "
-                + ", ".join(sorted(models))
-            )
-        try:
-            slos[model] = float(value)
-        except ValueError:
-            raise ValueError(f"bad --slo {entry!r}; expected MODEL=MS") from None
-    return slos
-
-
-def _parse_control(args: argparse.Namespace) -> Optional[ControlConfig]:
-    """Build the control-plane config from the serve flags (None = off).
-
-    ``--control-interval-us`` is the master switch; asking for any control
-    feature (hedging, autoscaling) without it is an error rather than a
-    silent no-op.
-    """
-    autoscale = args.autoscale is not None
-    if args.control_interval_us <= 0:
-        if args.hedge_after_pct > 0 or autoscale:
-            raise ValueError(
-                "--hedge-after-pct/--autoscale need the control plane: "
-                "set --control-interval-us to a positive interval"
-            )
-        return None
-    min_chips, max_chips = 1, 8
-    if autoscale:
-        spec = str(args.autoscale)
-        lo, sep, hi = spec.partition(":")
-        try:
-            if not sep:
-                raise ValueError(spec)
-            min_chips, max_chips = int(lo), int(hi)
-        except ValueError:
-            raise ValueError(
-                f"bad --autoscale {spec!r}; expected MIN:MAX chip counts"
-            ) from None
-    return ControlConfig(
-        interval_us=args.control_interval_us,
-        quarantine_after=args.quarantine_after,
-        straggler_ratio=args.straggler_ratio,
-        probation_us=args.probation_us,
-        hedge_after_pct=args.hedge_after_pct,
-        autoscale=autoscale,
-        min_chips=min_chips,
-        max_chips=max_chips,
-        scale_up_below=args.scale_up_below,
-        scale_down_util=args.scale_down_util,
-        cooldown_us=args.cooldown_us,
-        scale_chip=args.scale_chip,
-        replace_plans=not args.no_replace_plans,
-    )
-
-
-def _parse_telemetry(args: argparse.Namespace) -> Optional[TelemetryConfig]:
-    """Build the telemetry config from the serve flags (None = off).
-
-    The export flags need their producer armed: ``--metrics-out`` without a
-    ``--timeline-us`` interval (or ``--trace-out`` without
-    ``--trace-requests``) is an error rather than a silently empty file.
-    """
+def _check_serve_flags(args: argparse.Namespace) -> None:
+    """Reject flags that need another flag: an export without its
+    producer would otherwise write a silently empty file."""
+    if args.traffic == "trace" and not args.trace:
+        raise ValueError("--traffic trace requires --trace <file>")
     if args.metrics_out and args.timeline_us <= 0:
         raise ValueError(
             "--metrics-out needs a metrics timeline: set --timeline-us "
-            "to a positive window interval"
-        )
+            "to a positive window interval")
     if args.trace_out and args.trace_requests <= 0:
         raise ValueError(
             "--trace-out needs request tracing: set --trace-requests "
-            "to a positive sampling stride"
-        )
-    config = TelemetryConfig(
-        timeline_interval_us=args.timeline_us,
-        trace_every=args.trace_requests,
-        streaming_percentiles=args.streaming_percentiles,
-    )
-    return config if config.active else None
+            "to a positive sampling stride")
+
+
+def _serve_spec(args: argparse.Namespace) -> dict:
+    """The scenario spec (see :mod:`repro.serve.service.scenario`) of the
+    serve flags."""
+    traffic: dict = {"kind": args.traffic}
+    if args.traffic == "trace":
+        traffic["path"] = args.trace
+    else:
+        traffic.update(requests=args.requests, rate_rps=args.rate,
+                       utilization=args.utilization)
+    if args.traffic == "closed":
+        traffic.update(clients=args.clients, concurrency=args.concurrency,
+                       think_us=args.think_us)
+    control = {
+        "interval_us": args.control_interval_us,
+        "quarantine_after": args.quarantine_after,
+        "straggler_ratio": args.straggler_ratio,
+        "probation_us": args.probation_us,
+        "hedge_after_pct": args.hedge_after_pct,
+        "scale_up_below": args.scale_up_below,
+        "scale_down_util": args.scale_down_util,
+        "cooldown_us": args.cooldown_us,
+        "scale_chip": args.scale_chip,
+        "replace_plans": not args.no_replace_plans,
+    }
+    if args.autoscale is not None:
+        control["autoscale"] = args.autoscale
+    spec = {
+        "fleet": args.fleet or f"{args.chip}:{args.num_chips}",
+        "policy": args.policy,
+        "batches": args.batches,
+        "max_wait_us": args.max_wait_us,
+        "optimizer": args.optimizer,
+        "mode": args.mode,
+        "cache_capacity": args.cache_capacity,
+        "seed": args.seed,
+        "ga": {"population": args.population,
+               "generations": args.generations},
+        "traffic": traffic,
+        "slo": dict(args.slo or ()),
+        "inject": args.inject or [],
+        "fault_tolerance": {
+            "timeout_us": args.timeout_us,
+            "max_retries": args.retries,
+            "retry_backoff_us": args.retry_backoff_us,
+            "shed_queue_depth": args.shed_queue_depth,
+            "shed_wait_us": args.shed_wait_us,
+            "degrade_below": args.degrade_below,
+            "retry_priority": args.retry_priority,
+        },
+        "control": control,
+        "telemetry": {
+            "timeline_us": args.timeline_us,
+            "trace_every": args.trace_requests,
+            "streaming_percentiles": args.streaming_percentiles,
+        },
+    }
+    if args.traffic != "trace":  # a trace serves the models it requests
+        spec["models"] = args.model
+    return spec
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    error = _check_optimizer(args.optimizer)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-    try:
-        validate_policy(args.policy)
-        fleet = Fleet.from_spec(args.fleet or f"{args.chip}:{args.num_chips}")
-        # parse and target-check fault specs at parse time, before the
-        # expensive plan-cache warmup: a typo'd chip index fails in
-        # milliseconds, not after compiling a fleet's worth of plans —
-        # and regardless of the REPRO_SERVE_FAULTS gate
-        faults = [parse_inject(spec) for spec in (args.inject or ())]
-        validate_fault_targets(faults, len(fleet.workers))
-        control = _parse_control(args)
-        telemetry = _parse_telemetry(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if args.traffic == "trace" and not args.trace:
-        print("error: --traffic trace requires --trace <file>", file=sys.stderr)
-        return 2
+    from repro.serve.service.scenario import build_scenario, validate_spec
 
-    mode = FitnessMode.EDP if args.mode == "edp" else FitnessMode.LATENCY
-    # bad numeric inputs (--requests 0, --rate -5, --cache-capacity 0, a
-    # non-positive --slo target, ...), unreadable or malformed trace files
-    # and unknown model names surface as ValueError/OSError/KeyError from
-    # the serve constructors — same friendly exit-2 contract as the checks
-    # above
     try:
-        cache = PlanCache(
-            capacity=args.cache_capacity,
-            optimizer=args.optimizer,
-            mode=mode,
-            ga_config=_ga_config_from_args(args),
-        )
-        models = list(args.model)
-        batch_sizes = sorted(set(args.batches))
-        requests = None
-        if args.traffic == "trace":
-            traffic = TraceTraffic(args.trace)
-            models = list(traffic.models)
-            cache.warmup(models, fleet.chip_names, batch_sizes)
-        elif args.traffic == "closed":
-            cache.warmup(models, fleet.chip_names, batch_sizes)
-            traffic = ClosedLoopTraffic(
-                models,
-                num_requests=args.requests,
-                seed=args.seed,
-                clients=args.clients,
-                concurrency=args.concurrency,
-                mean_think_s=args.think_us * 1e-6,
-            )
-        else:
-            cache.warmup(models, fleet.chip_names, batch_sizes)
-            rate = args.rate if args.rate is not None else _auto_rate(
-                cache, fleet, models, batch_sizes, args.utilization
-            )
-            kwargs = {
-                "models": models,
-                "num_requests": args.requests,
-                "seed": args.seed,
-            }
-            if args.traffic == "diurnal":
-                kwargs["base_rate_rps"] = rate
-            else:
-                kwargs["rate_rps"] = rate
-            traffic = TRAFFIC_GENERATORS[args.traffic](**kwargs)
-
-        slos = _parse_slos(args.slo, models)
-        # negative fault-tolerance knobs raise ValueError here — same
-        # friendly exit-2 contract as the other inputs (--inject specs
-        # were already validated before warmup)
-        fault_tolerance = FaultTolerance(
-            timeout_us=args.timeout_us,
-            max_retries=args.retries,
-            retry_backoff_us=args.retry_backoff_us,
-            shed_queue_depth=args.shed_queue_depth,
-            shed_wait_us=args.shed_wait_us,
-            degrade_below=args.degrade_below,
-            retry_priority=args.retry_priority,
-        )
-        if args.traffic != "closed":
-            requests = traffic.generate()
-            if args.record_trace:
-                save_trace(requests, args.record_trace)
-                print(f"trace recorded to {args.record_trace}")
-        simulator = ServingSimulator(
-            fleet,
-            cache,
-            policy=args.policy,
-            batch_sizes=batch_sizes,
-            max_wait_us=args.max_wait_us,
-            slos=slos,
-            faults=faults,
-            fault_tolerance=fault_tolerance,
-            control=control,
-            telemetry=telemetry,
-        )
-        report = simulator.run(
-            traffic if args.traffic == "closed" else requests,
-            traffic_info=traffic.describe(),
-        )
-        if args.traffic == "closed" and args.record_trace:
-            # the realised closed-loop stream exists only after the run
-            save_trace(traffic.last_session.issued, args.record_trace)
+        _check_serve_flags(args)
+        built = build_scenario(validate_spec(_serve_spec(args)))
+        closed = isinstance(built.workload, ClosedLoopTraffic)
+        if args.record_trace and not closed:
+            save_trace(built.workload, args.record_trace)
             print(f"trace recorded to {args.record_trace}")
-    except (ValueError, OSError, KeyError) as err:
-        # KeyError messages carry repr quotes (unknown model/missing field)
-        print(f"error: {str(err).strip(chr(34))}", file=sys.stderr)
+        report = built.simulator.run(built.workload,
+                                     traffic_info=built.traffic_info)
+        if args.record_trace and closed:
+            # the realised closed-loop stream exists only after the run
+            save_trace(built.workload.last_session.issued, args.record_trace)
+            print(f"trace recorded to {args.record_trace}")
+    except (ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
         return 2
     print(render_serving_report(report))
     if report.timeline:
@@ -408,7 +293,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("telemetry disabled by REPRO_SERVE_TELEMETRY=0; "
                   "no metrics written", file=sys.stderr)
     if args.trace_out:
-        session = simulator.telemetry_session
+        session = built.simulator.telemetry_session
         if session is not None and session.tracer is not None:
             dump_chrome_trace(session.tracer.chrome_trace(), args.trace_out)
             print(f"request trace written to {args.trace_out} "
@@ -665,6 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="mean closed-loop think time in microseconds "
                                    "(default: 200)")
     serve_parser.add_argument("--slo", action="append", metavar="MODEL=MS",
+                              type=_slo_entry,
                               help="per-model latency SLO target in ms (repeatable); "
                                    "adds a per-model attainment block to the report")
     serve_parser.add_argument("--requests", type=int, default=200,

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro import envflags
 from repro.core.decomposition import ModelDecomposition
 from repro.core.partition import Partition, PartitionGroup
 from repro.hardware.chip import ChipConfig
@@ -130,7 +129,6 @@ class FitnessEvaluator:
         mode: FitnessMode = FitnessMode.LATENCY,
         dram_config: DRAMConfig = LPDDR3_8GB,
         use_span_table: bool = True,
-        use_span_matrix: Optional[bool] = None,
     ) -> None:
         self.decomposition = decomposition
         self.chip: ChipConfig = decomposition.chip
@@ -140,14 +138,10 @@ class FitnessEvaluator:
         self.span_table: Optional[SpanTable] = (
             span_table_for(decomposition, dram_config) if use_span_table else None
         )
-        # the dense matrix layer rides on the span table; default on, opt
-        # out per evaluator or globally with REPRO_SPAN_MATRIX=0
-        if use_span_matrix is None:
-            use_span_matrix = envflags.span_matrix_enabled()
+        # the dense matrix layer rides on the span table
         self.span_matrix: Optional[SpanMatrix] = (
             span_matrix_for(decomposition, dram_config)
-            if (use_span_table and use_span_matrix)
-            else None
+            if use_span_table else None
         )
         #: naive-path span cache (used when the span table is disabled)
         self._cache: Dict[Tuple[int, int], PartitionEstimate] = {}

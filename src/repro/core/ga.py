@@ -59,6 +59,16 @@ class GAConfig:
         if self.n_mutate < 0:
             raise ValueError("n_mutate must be non-negative")
 
+    @classmethod
+    def sized(cls, population_size: int, generations: int,
+              seed: int = 0) -> "GAConfig":
+        """A config of the given size, keeping the paper's 20/80 split of
+        selected survivors and mutated offspring."""
+        n_select = max(1, population_size // 5)
+        return cls(population_size=population_size, generations=generations,
+                   n_select=n_select, n_mutate=population_size - n_select,
+                   seed=seed)
+
 
 @dataclass
 class GenerationRecord:

@@ -35,6 +35,30 @@ from repro.serve.service.scenario import (
 PENDING, RUNNING, COMPLETED, FAILED = (
     "pending", "running", "completed", "failed")
 
+#: traffic kinds the service accepts (``trace`` needs a server-side file —
+#: out of scope for a JSON submission API)
+SERVICE_TRAFFIC_KINDS = ("poisson", "bursty", "diurnal", "closed")
+
+#: a submitted scenario with no timeline interval still streams — the
+#: observatory exists to watch windows, so a default interval applies
+DEFAULT_TIMELINE_US = 500.0
+
+
+def _service_spec(raw_spec: Dict[str, object]) -> Dict[str, object]:
+    """The service's rules on top of the shared spec: no trace replay,
+    and a default timeline interval."""
+    traffic = raw_spec.get("traffic")
+    if isinstance(traffic, dict) and traffic.get("kind") == "trace":
+        raise ValueError(
+            "traffic kind 'trace' is not serveable over the API; "
+            f"use one of: {', '.join(SERVICE_TRAFFIC_KINDS)}")
+    telemetry = raw_spec.get("telemetry") or {}
+    if (isinstance(telemetry, dict) and "timeline_us" not in telemetry
+            and "timeline_interval_us" not in telemetry):
+        raw_spec = dict(raw_spec, telemetry=dict(
+            telemetry, timeline_us=DEFAULT_TIMELINE_US))
+    return raw_spec
+
 
 class ScenarioJob:
     """One submitted scenario: spec, live telemetry, and its outcome."""
@@ -109,7 +133,11 @@ class Observatory:
     def submit(self, raw_spec: Dict[str, object]) -> ScenarioJob:
         """Validate and launch one scenario (raises ``ValueError`` on a
         bad spec — before any thread starts)."""
-        spec = validate_spec(raw_spec)
+        spec = validate_spec(_service_spec(raw_spec))
+        if spec.telemetry.timeline_interval_us <= 0:
+            raise ValueError(
+                "telemetry.timeline_us must be positive: the observatory "
+                "streams per-window telemetry")
         job = ScenarioJob(f"s{next(self._ids)}", spec, dict(raw_spec))
         self.jobs[job.job_id] = job
         thread = threading.Thread(

@@ -464,6 +464,9 @@ class TestEnvGateRule:
         assert documented is not None
         missing = set(REGISTERED_NAMES) - documented
         assert not missing, f"flags undocumented in ROADMAP.md: {missing}"
+        # and the other way: a retired flag takes its table row with it
+        stale = documented - set(REGISTERED_NAMES)
+        assert not stale, f"ROADMAP.md documents unregistered flags: {stale}"
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import re
+import shlex
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve.service import build_scenario, validate_spec
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 class TestParser:
@@ -355,10 +361,12 @@ class TestServeCommand:
                 "--optimizer", "dp", "--requests", "10"]
         assert main(base + ["--slo", "resnet18=5"]) == 2
         assert "unknown model" in capsys.readouterr().err
-        assert main(base + ["--slo", "squeezenet"]) == 2
-        assert "expected MODEL=MS" in capsys.readouterr().err
-        assert main(base + ["--slo", "squeezenet=abc"]) == 2
-        assert "expected MODEL=MS" in capsys.readouterr().err
+        # a malformed pair is an argparse error at the flag boundary
+        for entry in ("squeezenet", "squeezenet=abc"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(base + ["--slo", entry])
+            assert exit_info.value.code == 2
+            assert "expected MODEL=MS" in capsys.readouterr().err
         assert main(base + ["--slo", "squeezenet=0"]) == 2
         assert "SLO target" in capsys.readouterr().err
 
@@ -589,3 +597,67 @@ class TestServeControlCLI:
         assert args.hedge_after_pct == 85.0
         assert args.no_replace_plans is True
         assert args.retry_priority is True
+
+
+class TestServeSpecTwin:
+    """`repro serve` and a hand-written scenario spec build the same run."""
+
+    def test_cli_and_spec_runs_are_identical(self, capsys, tmp_path):
+        output = tmp_path / "cli.json"
+        assert main(["serve", "--model", "squeezenet", "--fleet", "S:2",
+                     "--optimizer", "dp", "--seed", "3",
+                     "--traffic", "closed", "--clients", "3",
+                     "--concurrency", "2", "--think-us", "100",
+                     "--requests", "40",
+                     "--inject", "chip_fail@300:chip=0,until=3000",
+                     "--retries", "2", "--timeout-us", "8000",
+                     "--control-interval-us", "200",
+                     "--output", str(output)]) == 0
+        capsys.readouterr()
+        built = build_scenario(validate_spec({
+            "models": ["squeezenet"], "fleet": "S:2", "optimizer": "dp",
+            "seed": 3,
+            "traffic": {"kind": "closed", "clients": 3, "concurrency": 2,
+                        "think_us": 100, "requests": 40},
+            "inject": ["chip_fail@300:chip=0,until=3000"],
+            "fault_tolerance": {"max_retries": 2, "timeout_us": 8000},
+            "control": {"interval_us": 200},
+        }))
+        report = built.simulator.run(built.workload,
+                                     traffic_info=built.traffic_info)
+        cli = json.loads(output.read_text())
+        for key in ("plan_cache", "telemetry", "commands"):
+            cli.pop(key, None)
+        assert cli == json.loads(json.dumps(report.determinism_dict()))
+        assert cli["faults"]["failures"] == 1
+        assert cli["control"]["ticks"] > 0
+
+
+def _readme_commands():
+    """Every ``python -m repro`` command in README's fenced blocks, with
+    backslash continuations joined."""
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    commands = []
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", text,
+                            flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            _, found, rest = line.partition("python -m repro")
+            if found:
+                commands.append(shlex.split(rest, comments=True))
+    return commands
+
+
+class TestReadmeCommands:
+    def test_readme_commands_parse(self, capsys):
+        commands = _readme_commands()
+        assert any(argv[:1] == ["serve"] for argv in commands)
+        rejected = []
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit as exit_info:  # --help exits 0
+                if exit_info.code != 0:
+                    rejected.append(" ".join(argv))
+        capsys.readouterr()
+        assert rejected == []

@@ -29,10 +29,6 @@ class TestDefaultOnGates:
 
     CASES = {None: True, "1": True, "yes": True, "0": False, "": False}
 
-    def test_span_matrix(self, monkeypatch):
-        _sweep(monkeypatch, "REPRO_SPAN_MATRIX",
-               envflags.span_matrix_enabled, self.CASES)
-
     def test_serve_switch_cost(self, monkeypatch):
         _sweep(monkeypatch, "REPRO_SERVE_SWITCH_COST",
                envflags.serve_switch_cost_enabled, self.CASES)
@@ -90,7 +86,7 @@ class TestValueAccessors:
 class TestRegistry:
     def test_registry_covers_every_accessor(self):
         assert envflags.REGISTERED_NAMES == (
-            "REPRO_SPAN_MATRIX", "REPRO_PARALLEL_SWEEPS",
+            "REPRO_PARALLEL_SWEEPS",
             "REPRO_BENCH_QUICK", "REPRO_BENCH_OUT", "REPRO_CHECK_BENCH",
             "REPRO_BENCH_REGRESSION_PCT", "REPRO_SERVE_SWITCH_COST",
             "REPRO_SERVE_FAULTS", "REPRO_SERVE_TELEMETRY",

@@ -217,11 +217,9 @@ class TestSpanMatrixEquivalence:
             for _ in range(20)
         ]
         for mode in (FitnessMode.LATENCY, FitnessMode.EDP):
-            vectorized = FitnessEvaluator(
-                decomposition, batch_size=8, mode=mode, use_span_matrix=True
-            )
+            vectorized = FitnessEvaluator(decomposition, batch_size=8, mode=mode)
             scalar = FitnessEvaluator(
-                decomposition, batch_size=8, mode=mode, use_span_matrix=False
+                decomposition, batch_size=8, mode=mode, use_span_table=False
             )
             batch_evals = vectorized.evaluate_many(groups)
             for group, evaluation in zip(groups, batch_evals):
@@ -320,21 +318,21 @@ class TestPartitionIOReference:
 
 
 class TestGAEquivalence:
-    """Naive, span-table and span-matrix GA paths are bit-identical.
+    """The naive and span-matrix GA paths are bit-identical.
 
     Parametrised over fitness mode and batch size (on top of the module's
-    model/chip fixture), covering the issue contract: ≥2 models, ≥2 batch
-    sizes, latency and EDP.  Every ``GenerationRecord`` field is compared,
-    along with the dedup accounting — the three paths must walk the exact
-    same search trajectory and report it identically.
+    model/chip fixture): ≥2 models, ≥2 batch sizes, latency and EDP.
+    Every ``GenerationRecord`` field is compared, along with the dedup
+    accounting — both paths must walk the exact same search trajectory
+    and report it identically.
     """
 
     CONFIG = GAConfig(population_size=12, generations=5, n_select=4, n_mutate=8, seed=11)
 
-    def _run(self, decomposition, batch_size, mode, use_span_table, use_span_matrix=False):
+    def _run(self, decomposition, batch_size, mode, use_span_table):
         evaluator = FitnessEvaluator(
             decomposition, batch_size=batch_size, mode=mode,
-            use_span_table=use_span_table, use_span_matrix=use_span_matrix,
+            use_span_table=use_span_table,
         )
         return CompassGA(decomposition, evaluator, self.CONFIG).run()
 
@@ -361,10 +359,7 @@ class TestGAEquivalence:
     def test_fixed_seed_ga_identical_across_all_paths(self, decomposed, mode, batch_size):
         decomposition, _ = decomposed
         naive = self._run(decomposition, batch_size, mode, use_span_table=False)
-        table = self._run(decomposition, batch_size, mode, use_span_table=True)
-        dense = self._run(decomposition, batch_size, mode,
-                          use_span_table=True, use_span_matrix=True)
-        self._assert_identical(table, naive)
+        dense = self._run(decomposition, batch_size, mode, use_span_table=True)
         self._assert_identical(dense, naive)
         # the dense run actually engaged the matrix engine
         assert dense.span_stats["matrix_fills"] + dense.span_stats["matrix_hits"] > 0

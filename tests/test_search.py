@@ -93,12 +93,12 @@ class TestDPOptimalSearch:
         decomposition, validity = shared_decomposition("squeezenet", "M")
         with_matrix = DPOptimalSearch(
             decomposition,
-            FitnessEvaluator(decomposition, batch_size=4, use_span_matrix=True),
+            FitnessEvaluator(decomposition, batch_size=4),
             validity,
         ).run()
         without_matrix = DPOptimalSearch(
             decomposition,
-            FitnessEvaluator(decomposition, batch_size=4, use_span_matrix=False),
+            FitnessEvaluator(decomposition, batch_size=4, use_span_table=False),
             validity,
         ).run()
         assert with_matrix.best_group.boundaries == without_matrix.best_group.boundaries

@@ -15,6 +15,7 @@ import re
 
 import pytest
 
+from repro.core.ga import GAConfig
 from repro.serve import (
     CommandQueue,
     ControlConfig,
@@ -25,6 +26,7 @@ from repro.serve import (
     ServingSimulator,
     TelemetryConfig,
     fleet_capacity_rps,
+    save_trace,
 )
 from repro.serve.service import (
     BroadcastHub,
@@ -34,6 +36,7 @@ from repro.serve.service import (
     request_json,
     validate_spec,
 )
+from repro.serve.service.jobs import DEFAULT_TIMELINE_US
 
 BATCHES = (1, 2, 4)
 
@@ -194,13 +197,14 @@ class TestScenarioSpec:
         spec = validate_spec({})
         assert spec.models == ["resnet18"]
         assert spec.traffic_kind == "poisson"
-        # the observatory always streams: a default window applies
-        assert spec.telemetry.timeline_interval_us > 0
+        # the builder itself adds no timeline: that default is the
+        # observatory's (see TestServiceEndToEnd)
+        assert not spec.telemetry.active
 
     @pytest.mark.parametrize("raw, fragment", [
         ({"models": ["nosuchnet"]}, "unknown model"),
         ({"model": ["resnet18"]}, "unknown spec key"),
-        ({"traffic": {"kind": "trace"}}, "not serveable"),
+        ({"traffic": {"kind": "trace"}}, "traffic.path must be a string"),
         ({"traffic": {"kind": "poisson", "rps": 10}}, "unknown traffic"),
         ({"traffic": {"requests": 0}}, "must be positive"),
         ({"batches": [0]}, "positive integers"),
@@ -212,6 +216,28 @@ class TestScenarioSpec:
         ({"telemetry": {"trace_each": 5}}, "unknown telemetry key"),
         ({"inject": ["chip_fail@0:chip=9"]}, "chip"),
         ({"mode": "both"}, "mode must be"),
+        # wrong JSON types are presentable errors, not TypeErrors
+        ({"seed": None}, "seed must be an integer"),
+        ({"models": [{}]}, "list of model names"),
+        ({"slo": {"resnet18": [1]}}, "slo target of 'resnet18'"),
+        ({"traffic": {"requests": None}}, "traffic.requests"),
+        ({"batches": [True]}, "batch size must be an integer"),
+        ({"ga": {"population": "many"}}, "ga.population"),
+        # values the serving constructors would reject at build time
+        ({"cache_capacity": 0}, "capacity must be positive"),
+        ({"max_wait_us": -1}, "max_wait_us must be non-negative"),
+        ({"slo": {"resnet18": 0}}, "SLO target must be positive"),
+        ({"traffic": {"kind": "closed", "clients": 0}},
+         "clients must be positive"),
+        ({"traffic": {"rate_rps": 0}}, "rate_rps must be positive"),
+        ({"traffic": {"kind": "diurnal", "rate_rps": -5}},
+         "rate_rps must be positive"),
+        ({"control": {"interval_us": 200, "scale_chip": "Z"}},
+         "unknown chip"),
+        ({"control": {"hedge_after_pct": 90}}, "need the control plane"),
+        ({"control": {"autoscale": "1:4"}}, "need the control plane"),
+        ({"traffic": {"kind": "trace", "path": "/nonexistent/trace.json"}},
+         "cannot read trace"),
     ])
     def test_bad_specs_raise_presentable_errors(self, raw, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -222,6 +248,23 @@ class TestScenarioSpec:
                                           "autoscale": "1:3"}})
         assert spec.control.autoscale
         assert (spec.control.min_chips, spec.control.max_chips) == (1, 3)
+
+    def test_trace_serves_the_trace_models(self, tmp_path):
+        trace = tmp_path / "trace.json"
+        save_trace(PoissonTraffic(["lenet5", "squeezenet"], num_requests=6,
+                                  seed=1).generate(), str(trace))
+        spec = validate_spec({"traffic": {"kind": "trace",
+                                          "path": str(trace)}})
+        assert spec.models == ["lenet5", "squeezenet"]
+        with pytest.raises(ValueError, match="trace's models"):
+            validate_spec({"models": ["lenet5"],
+                           "traffic": {"kind": "trace", "path": str(trace)}})
+
+    def test_ga_block_sizes_the_ga_with_the_spec_seed(self):
+        spec = validate_spec({"seed": 9, "optimizer": "ga",
+                              "ga": {"population": 12, "generations": 3}})
+        assert spec.ga_config == GAConfig.sized(12, 3, seed=9)
+        assert validate_spec({}).ga_config is None
 
     def test_closed_loop_knobs(self):
         spec = validate_spec({"traffic": {"kind": "closed", "clients": 6,
@@ -464,11 +507,37 @@ class TestServiceEndToEnd:
                                     {"models": ["nosuchnet"]})
         assert status == 400
         assert "unknown model" in body["error"]
+        # a wrong JSON type is a 400 too, not a dropped connection
+        status, body = request_json(host, port, "POST", "/scenarios",
+                                    {"seed": None})
+        assert status == 400
+        assert "seed must be an integer" in body["error"]
         status, body = request_json(
             host, port, "POST",
             f"/scenarios/{smoke['job_id']}/commands", {"op": "warp"})
         assert status == 400
         assert "op must be one of" in body["error"]
+
+    def test_service_rules_apply_at_submit(self, smoke):
+        host, port = smoke["host"], smoke["port"]
+        status, body = request_json(
+            host, port, "POST", "/scenarios",
+            dict(SMOKE_SPEC, traffic={"kind": "trace", "path": "t.json"}))
+        assert status == 400
+        assert "not serveable" in body["error"]
+        status, body = request_json(
+            host, port, "POST", "/scenarios",
+            dict(SMOKE_SPEC, telemetry={"timeline_us": 0}))
+        assert status == 400
+        assert "timeline_us must be positive" in body["error"]
+        # no timeline interval: the observatory still streams, on a
+        # default window
+        spec = {key: value for key, value in SMOKE_SPEC.items()
+                if key != "telemetry"}
+        status, body = request_json(host, port, "POST", "/scenarios", spec)
+        assert status == 201
+        job = smoke["server"].observatory.get(body["id"])
+        assert job.spec.telemetry.timeline_interval_us == DEFAULT_TIMELINE_US
 
     def test_bad_scenario_fails_job_not_service(self, smoke):
         # a spec that validates but cannot build: the job fails, the

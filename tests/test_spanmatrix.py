@@ -44,8 +44,8 @@ class TestSharing:
 
     def test_evaluators_share_one_matrix(self, fresh_decomposition):
         decomposition, _ = fresh_decomposition
-        a = FitnessEvaluator(decomposition, batch_size=1, use_span_matrix=True)
-        b = FitnessEvaluator(decomposition, batch_size=16, use_span_matrix=True)
+        a = FitnessEvaluator(decomposition, batch_size=1)
+        b = FitnessEvaluator(decomposition, batch_size=16)
         assert a.span_matrix is b.span_matrix
 
     def test_registry_accessor(self):
@@ -88,23 +88,10 @@ class TestDeltaFill:
 
 
 class TestEvaluatorToggle:
-    def test_env_opt_out(self, fresh_decomposition, monkeypatch):
-        decomposition, _ = fresh_decomposition
-        monkeypatch.setenv("REPRO_SPAN_MATRIX", "0")
-        evaluator = FitnessEvaluator(decomposition, batch_size=4)
-        assert evaluator.span_matrix is None
-        assert evaluator.span_table is not None
-
-    def test_explicit_flag_beats_env(self, fresh_decomposition, monkeypatch):
-        decomposition, _ = fresh_decomposition
-        monkeypatch.setenv("REPRO_SPAN_MATRIX", "0")
-        evaluator = FitnessEvaluator(decomposition, batch_size=4, use_span_matrix=True)
-        assert evaluator.span_matrix is not None
-
     def test_no_table_means_no_matrix(self, fresh_decomposition):
         decomposition, _ = fresh_decomposition
         evaluator = FitnessEvaluator(
-            decomposition, batch_size=4, use_span_table=False, use_span_matrix=True
+            decomposition, batch_size=4, use_span_table=False
         )
         assert evaluator.span_matrix is None
 
@@ -165,7 +152,7 @@ class TestBaselineEvaluations:
         evaluator = FitnessEvaluator(decomposition, batch_size=4)
         batch = baseline_evaluations(decomposition, evaluator, validity)
         assert set(batch) == {"greedy", "layerwise"}
-        scalar = FitnessEvaluator(decomposition, batch_size=4, use_span_matrix=False)
+        scalar = FitnessEvaluator(decomposition, batch_size=4, use_span_table=False)
         assert batch["greedy"].fitness == scalar.evaluate(
             greedy_partition(decomposition, validity)
         ).fitness
