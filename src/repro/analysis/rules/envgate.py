@@ -10,8 +10,9 @@ Two checks, one rule:
 * **Doc sync** — inside ``repro/envflags.py``, every ``REPRO_*`` /
   ``COMPASS_*`` variable name read from the environment must appear in
   the environment-variable table of the project's ``ROADMAP.md`` (the
-  nearest ancestor ROADMAP.md of the linted file).  Code and doc cannot
-  drift apart without a finding.
+  nearest ancestor ROADMAP.md of the linted file), and every name in that
+  table must be read there.  Code and doc cannot drift apart in either
+  direction without a finding.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ def _env_var_literal(node: ast.Call) -> Optional[str]:
 class EnvGateRule(Rule):
     rule_id = "env-gate"
     description = ("os.environ reads outside repro.envflags, and envflags "
-                   "entries missing from the ROADMAP env-var table")
+                   "reads and ROADMAP env-var table rows that lack their "
+                   "counterpart")
 
     def __init__(self) -> None:
         #: (name, lineno) of env vars this file reads, for the doc check
@@ -95,7 +97,7 @@ class EnvGateRule(Rule):
 
     # ------------------------------------------------------------------
     def finish(self, ctx: LintContext) -> Iterable[Finding]:
-        if not self._read_flags:
+        if not self._is_envflags_module(ctx):
             return
         documented = roadmap_env_table(ctx.project_root)
         if documented is None:
@@ -107,3 +109,11 @@ class EnvGateRule(Rule):
                     f"environment flag {name} is read here but missing from "
                     "the ROADMAP.md environment-variable table; document it",
                 )
+        read = {name for name, _ in self._read_flags}
+        for name in sorted(documented - read):
+            yield Finding(
+                ctx.rel_path, 1, self.rule_id,
+                f"environment flag {name} is documented in the ROADMAP.md "
+                "environment-variable table but never read here; drop the "
+                "row or restore the accessor",
+            )

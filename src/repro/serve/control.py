@@ -75,6 +75,10 @@ COLD_PLAN = PlanKey(model="<cold>", chip="", dram=None, batch=0,
 #: signals should react within a few ticks)
 _HEALTH_ALPHA = 0.3
 
+#: the actuator counters the metrics timeline reports per-window deltas of
+_TIMELINE_COUNTERS = ("quarantines", "readmissions", "hedges", "scale_ups",
+                      "scale_downs", "replacements")
+
 #: exhaustive placement search budget: assignments enumerated exactly up
 #: to this many combinations, greedy regret-matching beyond
 _PLACEMENT_EXHAUSTIVE_LIMIT = 4096
@@ -312,6 +316,21 @@ class Controller:
         self.scale_downs = 0
         self.replacements = 0
         self.replacement_ns = 0.0
+        self._counters_key: Optional[Tuple[int, ...]] = None
+        self._counters: Dict[str, int] = {}
+
+    def counters(self) -> Dict[str, int]:
+        """Cumulative actuator counters (the metrics timeline deltas these).
+
+        Ticks where no counter moved get the *same dict object* back —
+        the timeline's delta pass short-circuits on identity, and control
+        actions are rare relative to tick frequency.
+        """
+        current = tuple(getattr(self, name) for name in _TIMELINE_COUNTERS)
+        if current != self._counters_key:
+            self._counters_key = current
+            self._counters = dict(zip(_TIMELINE_COUNTERS, current))
+        return self._counters
 
     # --- observation hooks (called by the simulator) -------------------
     def health_for(self, index: int) -> _ChipHealth:

@@ -264,10 +264,6 @@ class Fleet:
             seen.setdefault(worker.chip_name)
         return tuple(seen)
 
-    def idle_workers(self, now_ns: float) -> List[ChipWorker]:
-        """Workers free at ``now_ns``, in index order."""
-        return [w for w in self.workers if w.idle_at(now_ns)]
-
     def reset(self) -> None:
         """Drop autoscaled chips and zero every worker's counters (for re-runs)."""
         del self.workers[self.base_size:]

@@ -824,9 +824,6 @@ class RequestTracer:
         """Whether this request id is in the deterministic K-sample."""
         return request_id % self.every == 0
 
-    def _ts_us(self, ts_ns: float) -> float:
-        return (ts_ns - self.origin_ns) * 1e-3
-
     def _span(self, name: str, request_id: int, start_ns: float,
               stop_ns: float, args: Dict[str, object]) -> None:
         self._events.append((
@@ -917,13 +914,13 @@ class RequestTracer:
 # per-run session: what the simulator threads through its event loop
 # ----------------------------------------------------------------------
 class _StreamingReportStats:
-    """Constant-memory substitutes for the report's sample lists."""
+    """Constant-memory substitutes for the report's sample lists (SLO
+    attainment comes from the simulator's running counts)."""
 
     def __init__(self) -> None:
         self.lat = StreamingQuantiles((50.0, 95.0, 99.0))
         self.wait = StreamingQuantiles((95.0,))
         self.by_model: Dict[str, StreamingQuantiles] = {}
-        self.attained: Dict[str, int] = {}
 
     def note(self, latency_ns: float, wait_ns: float, model: str,
              slo_ok: Optional[bool]) -> None:
@@ -935,8 +932,6 @@ class _StreamingReportStats:
                 per_model = self.by_model[model] = StreamingQuantiles(
                     (50.0, 95.0, 99.0))
             per_model.add(latency_ns)
-            if slo_ok:
-                self.attained[model] = self.attained.get(model, 0) + 1
 
 
 class TelemetrySession:
@@ -1151,12 +1146,6 @@ class TelemetrySession:
             for request in requests:
                 self.tracer.end_service(request.request_id, worker.index,
                                         ts_ns, "killed")
-
-    def tick(self, index: int, queue_depth: int, utilisation: float,
-             control: Optional[Dict[str, object]] = None) -> None:
-        """The boundary sample closing window ``index``."""
-        if self.timeline is not None:
-            self.timeline.sample(index, queue_depth, utilisation, control)
 
     # ------------------------------------------------------------------
     def _fold_pending(self) -> None:

@@ -450,11 +450,25 @@ class TestEnvGateRule:
             "| `REPRO_DEMO` | off | demo flag |\n")
         active, _ = lint_snippet(tmp_path, "src/repro/envflags.py", """\
             import os
+            def demo():
+                return os.environ.get("REPRO_DEMO", "0")
             def rogue():
                 return os.environ.get("REPRO_UNDOCUMENTED", "0")
             """, [EnvGateRule])
         assert rule_ids(active) == ["env-gate"]
         assert "REPRO_UNDOCUMENTED" in active[0].message
+
+    def test_documented_flag_without_read_flagged(self, tmp_path):
+        (tmp_path / "ROADMAP.md").write_text(
+            "| `REPRO_DEMO` | off | demo flag |\n"
+            "| `REPRO_RETIRED` | off | flag whose accessor was deleted |\n")
+        active, _ = lint_snippet(tmp_path, "src/repro/envflags.py", """\
+            import os
+            def demo():
+                return os.environ.get("REPRO_DEMO", "0")
+            """, [EnvGateRule])
+        assert rule_ids(active) == ["env-gate"]
+        assert "REPRO_RETIRED" in active[0].message
 
     def test_repo_envflags_matches_roadmap_table(self):
         # the live doc-sync check against the real ROADMAP.md

@@ -4,8 +4,9 @@ Covers the :class:`ControlConfig` surface, the pure helpers (nearest-rank
 percentile, the plan re-placement solve), the :class:`Controller` decision
 logic against hand-built workers, and the four actuators end to end inside
 the simulator: failure detection + quarantine scored against injected
-ground truth, hedged requests (with the request-conservation invariant),
-the SLO-driven autoscaler, and plan re-placement.  Controller-off
+ground truth, hedged requests (with the request-conservation invariant,
+and every branch of the hedge race on scripted stub-plan runs), the
+SLO-driven autoscaler, and plan re-placement.  Controller-off
 bit-identity against the pre-control simulator is pinned separately in
 ``tests/test_serve.py``.
 """
@@ -14,14 +15,20 @@ import dataclasses
 
 import pytest
 
+from repro.core.fitness import FitnessMode
+from repro.hardware.dram import LPDDR3_8GB
 from repro.serve import (
     COLD_PLAN,
+    CompiledPlan,
     ControlConfig,
     Controller,
     FaultTolerance,
     Fleet,
     PlanCache,
+    PlanCacheStats,
+    PlanKey,
     PoissonTraffic,
+    Request,
     ServingSimulator,
     fleet_capacity_rps,
     parse_inject,
@@ -375,6 +382,142 @@ class TestHedging:
             ft=FaultTolerance(max_retries=1), policy="fifo", requests=120)
         hedged = self._run()
         assert hedged.latency_ms["p99"] <= unhedged.latency_ms["p99"]
+
+
+class _StubPlans:
+    """Fixed per-batch service latencies (µs) for one chip class, so a
+    hedge race can be scripted to the microsecond.  Duck-types the slice
+    of :class:`PlanCache` the simulator reads."""
+
+    optimizer = "stub"
+    mode = FitnessMode.LATENCY
+    stats = PlanCacheStats()
+
+    def __init__(self, latency_us):
+        self._plans = {}
+        for batch, us in latency_us.items():
+            key = PlanKey(model="stub", chip="M", dram=LPDDR3_8GB,
+                          batch=batch, mode=FitnessMode.LATENCY,
+                          optimizer="stub")
+            self._plans[batch] = CompiledPlan(
+                key=key, boundaries=(0,), num_partitions=1,
+                latency_ns=us * 1e3, energy_pj=4000.0, weight_replace_ns=0.0,
+                fill_ns=us * 1e3, bottleneck_ns=0.0, best_fitness=us * 1e3,
+                exact=True, evaluations=0)
+
+    def get(self, model, chip, batch):
+        return self._plans[batch]
+
+
+def _race_run(arrivals_us, faults=(), hedge=True, max_retries=1,
+              timeout_us=0.0, batch_sizes=(1,), max_wait_us=0.0):
+    """Two FIFO chips at 100 µs per request (150 µs per pair), a 10 µs
+    control tick and a hedge budget armed by the first completion (the
+    50th percentile of one 100 µs sample)."""
+    simulator = ServingSimulator(
+        Fleet.from_spec("M:2"), _StubPlans({1: 100.0, 2: 150.0}),
+        policy="fifo", batch_sizes=batch_sizes, max_wait_us=max_wait_us,
+        switch_cost=False, faults=[parse_inject(spec) for spec in faults],
+        fault_tolerance=FaultTolerance(max_retries=max_retries,
+                                       timeout_us=timeout_us),
+        control=ControlConfig(interval_us=10.0,
+                              hedge_after_pct=50.0 if hedge else 0.0,
+                              hedge_min_samples=1))
+    report = simulator.run([Request(i, "stub", at * 1e3)
+                            for i, at in enumerate(arrivals_us)])
+    assert _conserved(report)
+    return report
+
+
+class TestHedgeRace:
+    """Every branch of the hedge race, each pinned by one scripted run.
+
+    In-flight victims: request 0 runs on chip 0 from 0 to 100 µs and arms
+    the budget; chip 0 then straggles x3, so request 1 (arriving at 100)
+    runs there until 400.  At the 210 µs tick it has waited past the
+    budget and its hedge flies on chip 1 from 210 to 310.
+
+    Queued victims: with batch sizes 1 and 2 and a 1 ms wait budget, the
+    batcher holds request 1 (arriving at 20 µs) for a pair until 1010.
+    Its hedge flies on chip 0 from the 130 µs tick, while request 2 at
+    5 ms keeps the hold worthwhile.
+    """
+
+    IN_FLIGHT = (0.0, 100.0)
+    STRAGGLE = "straggler@100:chip=0,factor=3"
+    QUEUED = (0.0, 20.0, 5000.0)
+    HOLD = dict(batch_sizes=(1, 2), max_wait_us=1000.0)
+
+    def test_hedge_beats_executing_original_then_its_chip_dies(self):
+        # the hedge wins at 310; chip 0 dies at 350 with the original on
+        # board, which is already counted: no retry, nothing lost
+        report = _race_run(self.IN_FLIGHT,
+                           [self.STRAGGLE, "chip_fail@350:chip=0"])
+        assert report.control["hedges_won"] == 1
+        assert report.failures == 1
+        assert report.per_chip[0]["lost_requests"] == 1
+        assert (report.retries, report.lost) == (0, 0)
+        assert report.completed == 2
+
+    def test_original_dies_while_its_hedge_flies(self):
+        # chip 0 dies at 250: the hedge carries the orphaned request and
+        # wins at 310, so the killed original is neither retried nor lost
+        report = _race_run(self.IN_FLIGHT,
+                           [self.STRAGGLE, "chip_fail@250:chip=0"])
+        assert report.control["hedges_won"] == 1
+        assert report.per_chip[0]["lost_requests"] == 1
+        assert (report.retries, report.lost) == (0, 0)
+        assert report.completed == 2
+
+    def test_hedge_dies_and_original_still_covers(self):
+        # chip 1 dies at 250 under the hedge; the original completes at
+        # 400 and is the request's one completion
+        report = _race_run(self.IN_FLIGHT,
+                           [self.STRAGGLE, "chip_fail@250:chip=1"])
+        assert report.per_chip[1]["lost_requests"] == 1
+        assert report.control["hedges_won"] == 0
+        assert (report.retries, report.lost) == (0, 0)
+        assert report.completed == 2
+
+    def test_hedge_dies_after_its_original_is_lost(self):
+        # both copies die (250 and 280): only the second death settles
+        # the request, so one loss for two killed copies
+        report = _race_run(self.IN_FLIGHT,
+                           [self.STRAGGLE, "chip_fail@250:chip=0",
+                            "chip_fail@280:chip=1"], max_retries=0)
+        assert report.failures == 2
+        assert [row["lost_requests"] for row in report.per_chip] == [1, 1]
+        assert report.lost == 1
+        assert report.control["hedges_won"] == 0
+        assert report.completed == 1
+
+    def test_original_beats_slow_hedge_and_the_late_copy_is_wasted(self):
+        # chip 0 straggles x10 under the hedge (130 -> 1130); the held
+        # original dispatches on chip 1 at 1010 and wins at 1110
+        report = _race_run(self.QUEUED,
+                           ["straggler@100:chip=0,factor=10,until=1200"],
+                           **self.HOLD)
+        assert report.control["hedges_wasted"] == 1
+        assert report.control["hedges_won"] == 0
+        assert report.completed == 3
+
+    def test_hedge_win_cancels_the_queued_original(self):
+        report = _race_run(self.QUEUED, **self.HOLD)
+        assert report.control["hedges_cancelled"] == 1
+        assert report.control["hedges_won"] == 1
+        assert report.completed == 3
+
+    def test_timeout_is_held_while_a_hedge_flies(self):
+        # request 1 times out at 170 µs: unhedged it is abandoned; hedged,
+        # the timeout is held back and the hedge wins at 230
+        plain = _race_run(self.QUEUED, hedge=False, max_retries=0,
+                          timeout_us=150.0, **self.HOLD)
+        assert plain.timeouts == 1
+        hedged = _race_run(self.QUEUED, max_retries=0, timeout_us=150.0,
+                           **self.HOLD)
+        assert hedged.timeouts == 0
+        assert hedged.control["hedges_cancelled"] == 1
+        assert hedged.completed == 3
 
 
 # ----------------------------------------------------------------------

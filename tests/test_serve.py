@@ -40,7 +40,7 @@ from repro.serve import (
     validate_traffic,
 )
 from repro.serve.fleet import ChipWorker
-from repro.serve.simulator import _percentile
+from repro.sim.metrics import nearest_rank_percentile
 
 BATCHES = (1, 2, 4, 8, 16)
 
@@ -334,8 +334,8 @@ class TestFleet:
     def test_idle_workers(self):
         fleet = Fleet.homogeneous("S", 2)
         fleet.workers[0].busy_until_ns = 50.0
-        assert [w.index for w in fleet.idle_workers(10.0)] == [1]
-        assert [w.index for w in fleet.idle_workers(50.0)] == [0, 1]
+        assert [w.index for w in fleet.workers if w.idle_at(10.0)] == [1]
+        assert [w.index for w in fleet.workers if w.idle_at(50.0)] == [0, 1]
 
 
 # ----------------------------------------------------------------------
@@ -526,24 +526,24 @@ def test_request_ordering_is_stable():
 # ----------------------------------------------------------------------
 class TestPercentile:
     def test_empty(self):
-        assert _percentile([], 50) == 0.0
-        assert _percentile([], 99) == 0.0
+        assert nearest_rank_percentile([], 50) == 0.0
+        assert nearest_rank_percentile([], 99) == 0.0
 
     def test_singleton(self):
-        assert _percentile([7.0], 1) == 7.0
-        assert _percentile([7.0], 50) == 7.0
-        assert _percentile([7.0], 99) == 7.0
+        assert nearest_rank_percentile([7.0], 1) == 7.0
+        assert nearest_rank_percentile([7.0], 50) == 7.0
+        assert nearest_rank_percentile([7.0], 99) == 7.0
 
     def test_even_length_p50_is_lower_median(self):
         # nearest rank: ceil(0.5 * 4) = 2 -> the second element
-        assert _percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.0
+        assert nearest_rank_percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.0
 
     def test_tails(self):
         values = [1.0, 2.0, 3.0, 4.0]
-        assert _percentile(values, 95) == 4.0
-        assert _percentile(values, 99) == 4.0
-        assert _percentile(values, 25) == 1.0
-        assert _percentile(values, 100) == 4.0
+        assert nearest_rank_percentile(values, 95) == 4.0
+        assert nearest_rank_percentile(values, 99) == 4.0
+        assert nearest_rank_percentile(values, 25) == 1.0
+        assert nearest_rank_percentile(values, 100) == 4.0
 
 
 # ----------------------------------------------------------------------

@@ -36,6 +36,7 @@ from repro.serve.service import (
     request_json,
     validate_spec,
 )
+from repro.serve.service import jobs
 from repro.serve.service.jobs import DEFAULT_TIMELINE_US
 
 BATCHES = (1, 2, 4)
@@ -276,9 +277,11 @@ class TestScenarioSpec:
 # ----------------------------------------------------------------------
 # mid-run commands: deterministic application in the event order
 # ----------------------------------------------------------------------
-def _command_run(commands, control=False):
-    """A small fault-aware run with ``commands`` pre-queued, so every
-    command lands at the first event pop — a fixed, reproducible point."""
+def _command_run(commands, control=False,
+                 fault_tolerance=FaultTolerance(max_retries=2)):
+    """A small run (fault-aware by default) with ``commands`` pre-queued,
+    so every command lands at the first event pop — a fixed, reproducible
+    point."""
     model = "resnet18"
     fleet = Fleet.from_spec("M:2")
     cache = PlanCache(optimizer="dp")
@@ -291,7 +294,7 @@ def _command_run(commands, control=False):
     simulator = ServingSimulator(
         fleet, cache, policy="latency", batch_sizes=BATCHES,
         max_wait_us=200.0,
-        fault_tolerance=FaultTolerance(max_retries=2),
+        fault_tolerance=fault_tolerance,
         control=(ControlConfig(interval_us=500.0) if control else None),
         telemetry=TelemetryConfig(timeline_interval_us=500.0),
     )
@@ -333,6 +336,16 @@ class TestMidRunCommands:
         assert statuses == ["rejected"] * 4  # no control plane, bad args
         assert all("error" in entry for entry in report.commands)
         assert report.completed == report.num_requests  # run unharmed
+
+    def test_inject_fault_needs_a_fault_aware_run(self):
+        _, report = _command_run(
+            [{"op": "inject_fault", "spec": "chip_fail@100:chip=0"}],
+            fault_tolerance=None)
+        (entry,) = report.commands
+        assert entry["status"] == "rejected"
+        assert "fault-aware" in entry["error"]
+        assert report.failures == 0
+        assert report.completed == report.num_requests
 
     def test_autoscale_bounds_needs_and_updates_controller(self):
         simulator, report = _command_run(
@@ -539,20 +552,28 @@ class TestServiceEndToEnd:
         job = smoke["server"].observatory.get(body["id"])
         assert job.spec.telemetry.timeline_interval_us == DEFAULT_TIMELINE_US
 
-    def test_bad_scenario_fails_job_not_service(self, smoke):
-        # a spec that validates but cannot build: the job fails, the
-        # service stays up, and the stream delivers the error terminally
-        status, body = request_json(
-            smoke["host"], smoke["port"], "POST", "/scenarios",
-            dict(SMOKE_SPEC, fleet="M:1", control={"interval_us": 200,
-                                                   "autoscale": "1:9"}))
-        if status != 201:
-            pytest.skip("autoscale bounds validated at submit")
-        client = WebSocketClient(smoke["host"], smoke["port"],
+    def test_failing_job_streams_error_and_service_survives(
+            self, smoke, monkeypatch):
+        # a scenario that breaks on its worker thread: the stream ends
+        # with the traceback, the job reads failed, the service stays up
+        def broken(spec):
+            raise RuntimeError("scenario build exploded")
+
+        monkeypatch.setattr(jobs, "build_scenario", broken)
+        host, port = smoke["host"], smoke["port"]
+        status, body = request_json(host, port, "POST", "/scenarios",
+                                    SMOKE_SPEC)
+        assert status == 201, body
+        client = WebSocketClient(host, port,
                                  f"/scenarios/{body['id']}/stream")
         messages = list(client.messages())
         client.close()
-        assert messages[-1]["type"] in ("report", "error")
-        # whatever the outcome, the service still answers
-        assert request_json(smoke["host"], smoke["port"], "GET",
-                            "/healthz")[0] == 200
+        assert messages[-1]["type"] == "error"
+        error = messages[-1]["data"]["error"]
+        assert error.startswith("Traceback")
+        assert "scenario build exploded" in error
+        status, job = request_json(host, port, "GET",
+                                   f"/scenarios/{body['id']}")
+        assert status == 200
+        assert job["state"] == "failed"
+        assert request_json(host, port, "GET", "/healthz")[0] == 200

@@ -85,9 +85,8 @@ def _distributions():
 # ----------------------------------------------------------------------
 class TestSharedPercentile:
     def test_simulator_and_controller_share_one_function(self):
-        from repro.serve import control, simulator
+        from repro.serve import control
 
-        assert simulator._percentile is nearest_rank_percentile
         assert control.percentile is nearest_rank_percentile
 
     def test_nearest_rank_definition(self):
